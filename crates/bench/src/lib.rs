@@ -10,6 +10,8 @@
 //! cargo run --release -p parlap-bench --bin experiments -- <id>|all [--quick]
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod experiments;
 pub mod experiments_ext;
 pub mod host;

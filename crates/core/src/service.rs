@@ -962,7 +962,7 @@ mod tests {
     #[test]
     fn ambient_pool_service_works_from_external_threads() {
         // No dedicated pool: the driver thread routes batch compute
-        // through the global pool's lock-free injector.
+        // through the global pool's injected-job queue.
         let (svc, n) = grid_service(None);
         let handles: Vec<_> = (0..3)
             .map(|c| {

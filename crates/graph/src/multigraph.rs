@@ -139,11 +139,9 @@ impl MultiGraph {
     /// vertex, then a scan for offsets — the Lemma 2.7 conversion.
     pub fn incidence(&self) -> Incidence {
         let m = self.edges.len();
-        // Records (vertex, edge index). The stable parallel merge
-        // sort keeps edge order within a vertex, so downstream
-        // sampling is deterministic regardless of thread count; it
-        // applies its own sequential cutoff (~4 k records), so no
-        // `PAR_CUTOFF` guard is needed here.
+        // Records (vertex, edge index). The stable sort keeps edge
+        // order within a vertex, so downstream sampling is
+        // deterministic regardless of thread count.
         let mut records: Vec<(u32, u32)> = Vec::with_capacity(2 * m);
         for (i, e) in self.edges.iter().enumerate() {
             records.push((e.u, i as u32));

@@ -89,9 +89,7 @@ where
 }
 
 /// Stable parallel sort of ids by a float score, highest first — the
-/// shared sweep-cut ordering (clustering, max-flow). Routed through
-/// the pool's parallel merge sort, which handles its own sequential
-/// cutoff (~4 k elements), so callers need no `PAR_CUTOFF` guard.
+/// shared sweep-cut ordering (clustering, max-flow).
 ///
 /// NaN scores order deterministically *after* every number (and tie
 /// with each other, so the stable sort keeps their input order). This

@@ -20,8 +20,7 @@
 //!   `ApproxSchur`, plus the sequential Kyng–Sachdeva baseline and an
 //!   SDD front-end (Gremban reduction).
 //! * [`apps`] — downstream applications: electrical flows, approximate
-//!   max-flow, spanning-tree sampling, label propagation, spectral
-//!   sparsification.
+//!   max-flow, spanning-tree sampling, label propagation.
 //!
 //! ## Quickstart
 //!
@@ -36,6 +35,8 @@
 //! let err = solver.relative_error(&b, &x.solution);
 //! assert!(err < 1e-5);
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub use parlap_apps as apps;
 pub use parlap_core as core;
@@ -53,7 +54,6 @@ pub mod prelude {
         mincut::stoer_wagner,
         pagerank::{pagerank_power_iteration, PageRankSolver},
         spanning_tree::{aldous_broder_ust, tree_count, wilson_ust},
-        sparsify::{sparsify, sparsify_to_eps, SparsifyOptions},
     };
     pub use parlap_core::{
         alpha::SplitStrategy,
@@ -70,6 +70,7 @@ pub mod prelude {
         solver::{
             InnerPrecision, LaplacianSolver, NodeOrdering, OuterMethod, SolveOutcome, SolverOptions,
         },
+        sparsify::{sparsify, sparsify_to_eps, SparsifyOptions},
         spectral::{fiedler_vector, spectral_bisection, FiedlerOptions},
         SolveProgress, SolverError,
     };
