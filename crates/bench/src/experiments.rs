@@ -730,7 +730,7 @@ pub fn e18_ablation_base_size(quick: bool) {
         let out = solver.solve(&b, 1e-6).expect("solve");
         t.row(vec![
             base.to_string(),
-            solver.chain().depth().to_string(),
+            solver.chain_backend().expect("chain backend").chain().depth().to_string(),
             f(bms),
             f(ms(t1)),
             out.iterations.to_string(),

@@ -342,7 +342,17 @@ pub fn e24_sdd(quick: bool) {
             name.into(),
             n.to_string(),
             solver.reduced_dim().to_string(),
-            solver.inner().chain().stats.level_edges.first().copied().unwrap_or(0).to_string(),
+            solver
+                .inner()
+                .chain_backend()
+                .expect("chain backend")
+                .chain()
+                .stats
+                .level_edges
+                .first()
+                .copied()
+                .unwrap_or(0)
+                .to_string(),
             f(build),
             f(ms(t0)),
             out.iterations.to_string(),

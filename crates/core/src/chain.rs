@@ -19,7 +19,7 @@
 use crate::blocks::{CrossBlock, LocalLap};
 use crate::error::SolverError;
 use crate::five_dd::{five_dd_subset, SAMPLE_FRACTION};
-use crate::walks::terminal_walks;
+use crate::walks::terminal_walks_with;
 use parlap_graph::connectivity::num_components;
 use parlap_graph::laplacian::to_dense;
 use parlap_graph::multigraph::{Edge, MultiGraph};
@@ -209,6 +209,8 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
                 cur.num_vertices()
             )));
         }
+        // One incidence structure per level, shared by 5DDSubset and
+        // every TerminalWalks attempt.
         let inc = cur.incidence();
         let wdeg = cur.weighted_degrees();
         // F_{k+1} ← 5DDSubset(G(k)).
@@ -223,7 +225,7 @@ pub fn block_cholesky(g: &MultiGraph, opts: &ChainOptions) -> Result<CholeskyCha
         let mut attempt = 0usize;
         let out = loop {
             let walk_seed = mix2(opts.seed, mix2(k as u64, attempt as u64));
-            let out = terminal_walks(&cur, &in_c, walk_seed);
+            let out = terminal_walks_with(&cur, &inc, &in_c, walk_seed);
             stats.meter.record("terminal_walks", out.stats.cost);
             if num_components(&out.graph) == 1 || attempt >= opts.connectivity_retries {
                 if attempt > 0 {

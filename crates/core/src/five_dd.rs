@@ -73,44 +73,25 @@ pub fn five_dd_subset(
             in_fprime[v] = true;
         }
         // Internal weighted degree within F', per candidate, in parallel.
-        let keep_flags: Vec<bool> = if fprime.len() >= PAR_CUTOFF {
-            fprime
-                .par_iter()
-                .map(|&i| {
-                    let internal: f64 = inc
-                        .edges_at(i)
-                        .iter()
-                        .map(|&ei| {
-                            let e = &edges[ei as usize];
-                            if in_fprime[e.other(i as u32) as usize] {
-                                e.w
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    internal <= wdeg[i] / DD_FACTOR
-                })
-                .collect()
-        } else {
-            fprime
+        let passes = |&i: &usize| -> bool {
+            let internal: f64 = inc
+                .edges_at(i)
                 .iter()
-                .map(|&i| {
-                    let internal: f64 = inc
-                        .edges_at(i)
-                        .iter()
-                        .map(|&ei| {
-                            let e = &edges[ei as usize];
-                            if in_fprime[e.other(i as u32) as usize] {
-                                e.w
-                            } else {
-                                0.0
-                            }
-                        })
-                        .sum();
-                    internal <= wdeg[i] / DD_FACTOR
+                .map(|&ei| {
+                    let e = &edges[ei as usize];
+                    if in_fprime[e.other(i as u32) as usize] {
+                        e.w
+                    } else {
+                        0.0
+                    }
                 })
-                .collect()
+                .sum();
+            internal <= wdeg[i] / DD_FACTOR
+        };
+        let keep_flags: Vec<bool> = if fprime.len() >= PAR_CUTOFF {
+            fprime.par_iter().map(passes).collect()
+        } else {
+            fprime.iter().map(passes).collect()
         };
         work += fprime.iter().map(|&i| inc.degree(i) as u64).sum::<u64>() + sample_size as u64;
         let kept: Vec<u32> =

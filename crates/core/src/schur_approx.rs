@@ -16,7 +16,7 @@
 use crate::alpha::split_uniform;
 use crate::error::SolverError;
 use crate::five_dd::{five_dd_subset, SAMPLE_FRACTION};
-use crate::walks::terminal_walks;
+use crate::walks::terminal_walks_with;
 use parlap_graph::connectivity::num_components;
 use parlap_graph::multigraph::MultiGraph;
 use parlap_primitives::cost::CostMeter;
@@ -119,11 +119,12 @@ pub fn approx_schur(
         for &f_sub in &dd.f_set {
             in_c[sub_ids[f_sub as usize] as usize] = false;
         }
-        // Walks, with connectivity retry.
+        // Walks, with connectivity retry (one incidence for all attempts).
+        let inc = cur.incidence();
         let mut attempt = 0usize;
         let out = loop {
             let walk_seed = mix2(opts.seed, mix2(rounds as u64, attempt as u64));
-            let out = terminal_walks(&cur, &in_c, walk_seed);
+            let out = terminal_walks_with(&cur, &inc, &in_c, walk_seed);
             meter.record("terminal_walks", out.stats.cost);
             if num_components(&out.graph) == 1 || attempt >= opts.connectivity_retries {
                 break out;

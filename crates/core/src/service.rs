@@ -1050,7 +1050,8 @@ mod tests {
             },
         )
         .expect("build");
-        assert!(solver.chain().depth() >= 1, "need a level to corrupt");
+        let depth = solver.chain_backend().expect("chain backend").chain().depth();
+        assert!(depth >= 1, "need a level to corrupt");
         // Truncate a level's Jacobi diagonal: `JacobiOp::new` asserts
         // `x_diag.len() == dim`, so every apply now panics
         // deterministically — a stand-in for any preconditioner bug.

@@ -11,7 +11,6 @@
 use crate::alpha::SplitStrategy;
 use crate::apply::ChainBackend;
 use crate::backend::{BackendKind, BackendOp, Preconditioner};
-use crate::chain::CholeskyChain;
 use crate::error::{SolveProgress, SolverError};
 use crate::pipeline::{Permutation, SparsifyStage};
 use crate::richardson::{preconditioned_richardson, RichardsonOptions};
@@ -415,30 +414,16 @@ impl LaplacianSolver {
         }
     }
 
-    /// The factorization chain (stats, invariants, cost model).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the solver was built with the multigrid backend,
-    /// which has no chain — check [`LaplacianSolver::backend_kind`]
-    /// first, or use the backend-agnostic
-    /// [`LaplacianSolver::backend`] accessors.
-    pub fn chain(&self) -> &CholeskyChain {
-        self.chain_backend()
-            .unwrap_or_else(|| {
-                panic!("chain() on a {:?} backend — use backend()", self.resolved_backend)
-            })
-            .chain()
-    }
-
     /// Split factor actually used (1 for `None` and for backends that
     /// do not split).
     pub fn split_copies(&self) -> usize {
         self.chain_backend().map_or(1, ChainBackend::split_copies)
     }
 
-    /// Downcast to the chain backend, `None` under multigrid.
-    fn chain_backend(&self) -> Option<&ChainBackend> {
+    /// The chain backend — and through [`ChainBackend::chain`] the
+    /// factorization chain (stats, invariants, cost model) — or `None`
+    /// when the solver was built with another backend.
+    pub fn chain_backend(&self) -> Option<&ChainBackend> {
         self.backend.as_any().downcast_ref::<ChainBackend>()
     }
 
@@ -653,10 +638,10 @@ impl LaplacianSolver {
 
     /// Estimated resident memory of this built solver in bytes: the
     /// CSR of the original Laplacian plus the factorization chain
-    /// ([`CholeskyChain::estimated_bytes`]). The estimate drives the
-    /// [`crate::registry::SolverRegistry`] eviction budget; it counts
-    /// the dominant `O(m)` arrays and the dense base pseudoinverse,
-    /// not allocator slack.
+    /// ([`crate::chain::CholeskyChain::estimated_bytes`]). The estimate
+    /// drives the [`crate::registry::SolverRegistry`] eviction budget;
+    /// it counts the dominant `O(m)` arrays and the dense base
+    /// pseudoinverse, not allocator slack.
     pub fn estimated_bytes(&self) -> usize {
         // CSR: row pointers (usize), column indices (u32), values (f64).
         let csr = (self.n + 1) * 8 + self.csr.nnz() * (4 + 8);
@@ -673,9 +658,9 @@ impl LaplacianSolver {
     /// Mutable chain access for in-crate failure-injection tests (a
     /// corrupted level makes the apply path panic deterministically,
     /// which the service's panic-containment tests rely on). Panics on
-    /// a non-chain backend, like [`LaplacianSolver::chain`].
+    /// a non-chain backend ([`LaplacianSolver::chain_backend`] is `None`).
     #[cfg(test)]
-    pub(crate) fn chain_mut_for_tests(&mut self) -> &mut CholeskyChain {
+    pub(crate) fn chain_mut_for_tests(&mut self) -> &mut crate::chain::CholeskyChain {
         self.backend
             .as_any_mut()
             .downcast_mut::<ChainBackend>()
@@ -896,7 +881,7 @@ mod tests {
             LaplacianSolver::build(&g, SolverOptions { backend: BackendKind::Chain, ..opts(5) })
                 .expect("build");
         assert_eq!(solver.backend_kind(), BackendKind::Chain);
-        assert_eq!(solver.chain().depth(), 0);
+        assert_eq!(solver.chain_backend().expect("chain backend").chain().depth(), 0);
         let b = random_demand(8, 3);
         let out = solver.solve(&b, 1e-10).expect("solve");
         assert!(solver.relative_error(&b, &out.solution) < 1e-9);

@@ -18,11 +18,10 @@
 //! Every walk draws from its own deterministic random stream keyed by
 //! the edge index, so results are identical for any thread count.
 
-use parlap_graph::multigraph::{Edge, MultiGraph};
+use parlap_graph::multigraph::{Edge, Incidence, MultiGraph};
 use parlap_primitives::cost::{log2_ceil, Cost};
 use parlap_primitives::prng::StreamRng;
 use parlap_primitives::sample::AliasTable;
-use parlap_primitives::util::PAR_CUTOFF;
 use rayon::prelude::*;
 
 /// Hard cap on a single walk; exceeded only if the caller supplies a
@@ -57,21 +56,47 @@ pub struct TerminalWalksOutput {
     pub stats: WalkStats,
 }
 
+/// Edges per walk task: each task walks one chunk and compacts its
+/// own kept edges, so no per-edge intermediate is materialized.
+const WALK_CHUNK: usize = 8192;
+
+/// The walks of one chunk of edges: its kept edges in edge order,
+/// total and longest walk steps, and its discard count.
+struct ChunkWalks {
+    kept: Vec<Edge>,
+    steps: u64,
+    max_len: u64,
+    discarded: usize,
+}
+
 /// Run `TerminalWalks(G, C)`.
 ///
 /// `in_c[v]` marks the terminal set. Requires at least one terminal;
 /// walks are only taken from non-terminal vertices, which must be able
 /// to reach `C` (guaranteed for connected `G`).
 pub fn terminal_walks(g: &MultiGraph, in_c: &[bool], seed: u64) -> TerminalWalksOutput {
+    terminal_walks_with(g, &g.incidence(), in_c, seed)
+}
+
+/// [`terminal_walks`] on a caller-built incidence structure `inc` of
+/// `g` (as [`MultiGraph::incidence`] returns it), so a caller that
+/// already holds one — `block_cholesky` builds one per level for
+/// `5DDSubset` — does not build it again. Same output, bit for bit.
+pub fn terminal_walks_with(
+    g: &MultiGraph,
+    inc: &Incidence,
+    in_c: &[bool],
+    seed: u64,
+) -> TerminalWalksOutput {
     let n = g.num_vertices();
     assert_eq!(in_c.len(), n, "terminal mask length mismatch");
+    assert_eq!(inc.num_vertices(), n, "incidence vertex count mismatch");
     let c_ids: Vec<u32> = (0..n as u32).filter(|&v| in_c[v as usize]).collect();
     assert!(!c_ids.is_empty(), "TerminalWalks requires a non-empty terminal set");
     let mut new_id = vec![u32::MAX; n];
     for (new, &old) in c_ids.iter().enumerate() {
         new_id[old as usize] = new as u32;
     }
-    let inc = g.incidence();
     let edges = g.edges();
     // Per-vertex transition samplers for the interior (F) vertices:
     // step to an incident multi-edge with probability ∝ its weight.
@@ -109,38 +134,48 @@ pub fn terminal_walks(g: &MultiGraph, in_c: &[bool], seed: u64) -> TerminalWalks
         (v, sum_inv, steps)
     };
 
-    let per_edge = |(i, e): (usize, &Edge)| -> (Option<Edge>, u64) {
-        let mut rng = StreamRng::new(seed, i as u64);
-        let (c1, s1, st1) = walk_from(e.u, &mut rng);
-        let (c2, s2, st2) = walk_from(e.v, &mut rng);
-        let steps = st1 + st2;
-        if c1 == c2 {
-            (None, steps)
-        } else {
-            let w = 1.0 / (s1 + s2 + 1.0 / e.w);
-            (Some(Edge::new(new_id[c1 as usize], new_id[c2 as usize], w)), steps)
-        }
-    };
-
-    let results: Vec<(Option<Edge>, u64)> = if edges.len() >= PAR_CUTOFF {
-        edges.par_iter().enumerate().map(per_edge).collect()
-    } else {
-        edges.iter().enumerate().map(per_edge).collect()
-    };
-
-    let mut out_edges = Vec::with_capacity(results.len());
-    let mut stats = WalkStats::default();
-    for (maybe_edge, steps) in results {
-        stats.total_steps += steps;
-        stats.max_walk_len = stats.max_walk_len.max(steps);
-        match maybe_edge {
-            Some(e) => {
-                stats.kept += 1;
-                out_edges.push(e);
+    // One task per chunk; `with_min_len(1)` lets even a handful of
+    // chunks spread over the workers. The chunks come back in index
+    // order, so the output is the same for any thread count.
+    let chunks: Vec<ChunkWalks> = (0..edges.len().div_ceil(WALK_CHUNK))
+        .into_par_iter()
+        .with_min_len(1)
+        .map(|c| {
+            let lo = c * WALK_CHUNK;
+            let hi = (lo + WALK_CHUNK).min(edges.len());
+            let mut out = ChunkWalks {
+                kept: Vec::with_capacity(hi - lo),
+                steps: 0,
+                max_len: 0,
+                discarded: 0,
+            };
+            for (i, e) in edges[lo..hi].iter().enumerate() {
+                let mut rng = StreamRng::new(seed, (lo + i) as u64);
+                let (c1, s1, st1) = walk_from(e.u, &mut rng);
+                let (c2, s2, st2) = walk_from(e.v, &mut rng);
+                let steps = st1 + st2;
+                out.steps += steps;
+                out.max_len = out.max_len.max(steps);
+                if c1 == c2 {
+                    out.discarded += 1;
+                } else {
+                    let w = 1.0 / (s1 + s2 + 1.0 / e.w);
+                    out.kept.push(Edge::new(new_id[c1 as usize], new_id[c2 as usize], w));
+                }
             }
-            None => stats.discarded += 1,
-        }
+            out
+        })
+        .collect();
+
+    let mut stats = WalkStats::default();
+    let mut out_edges = Vec::with_capacity(chunks.iter().map(|c| c.kept.len()).sum());
+    for chunk in chunks {
+        stats.total_steps += chunk.steps;
+        stats.max_walk_len = stats.max_walk_len.max(chunk.max_len);
+        stats.discarded += chunk.discarded;
+        out_edges.extend_from_slice(&chunk.kept);
     }
+    stats.kept = out_edges.len();
     let m = edges.len() as u64;
     stats.cost = Cost::new(
         // sampler build + walks + compaction

@@ -1,9 +1,9 @@
 //! Parallel connected components (FastSV).
 //!
 //! The solver's precondition (connectivity, Fact 2.3) is checked with
-//! a sequential BFS in [`crate::connectivity`]; this module provides
-//! the *parallel* counterpart in the paper's own cost model: the
-//! Shiloach–Vishkin family of hook-and-shortcut algorithms,
+//! a sequential union-find in [`crate::connectivity`]; this module
+//! provides the *parallel* counterpart in the paper's own cost model:
+//! the Shiloach–Vishkin family of hook-and-shortcut algorithms,
 //! specifically FastSV (Zhang–Azad–Hu 2020). Labels only decrease
 //! (min-id hooking via atomic `fetch_min`), the pointer forest stays
 //! acyclic, and the algorithm stabilizes in `O(log n)` rounds of
@@ -147,6 +147,7 @@ mod tests {
         assert!(!cc.connected(2, 3));
     }
 
+    /// FastSV's count matches the union-find `num_components`.
     #[test]
     fn agrees_with_bfs_on_random_forests() {
         for seed in 0..20u64 {

@@ -1,58 +1,44 @@
 //! Connectivity checking.
 //!
 //! The solver's precondition (Fact 2.3 context) is a *connected*
-//! multigraph. We provide a frontier-based BFS: sequential frontier
-//! expansion per level, but with parallel neighbor enumeration for
-//! wide frontiers — sufficient for a validation pass that runs once.
+//! multigraph, and the chain build re-checks every sampled Schur
+//! complement. [`num_components`] is a sequential union-find over the
+//! edge list (union by rank, path halving): no incidence structure,
+//! `O(m α(n))` work, and it stops at the first edge that leaves a
+//! single component — on a connected graph usually long before the
+//! end of the list. [`crate::components`] has the parallel FastSV
+//! labelling for callers that need the components themselves.
 
 use crate::multigraph::MultiGraph;
-use rayon::prelude::*;
 
-/// Number of connected components.
+/// Number of connected components (exact).
 pub fn num_components(g: &MultiGraph) -> usize {
     let n = g.num_vertices();
-    if n == 0 {
-        return 0;
-    }
-    let inc = g.incidence();
-    let edges = g.edges();
-    let mut visited = vec![false; n];
-    let mut components = 0;
-    let mut frontier: Vec<u32> = Vec::new();
-    for start in 0..n {
-        if visited[start] {
+    let mut parent: Vec<u32> = (0..n as u32).collect();
+    let mut rank = vec![0u8; n];
+    let mut components = n;
+    let find = |parent: &mut [u32], mut x: u32| {
+        while parent[x as usize] != x {
+            let grand = parent[parent[x as usize] as usize];
+            parent[x as usize] = grand;
+            x = grand;
+        }
+        x
+    };
+    for e in g.edges() {
+        if components <= 1 {
+            break;
+        }
+        let (a, b) = (find(&mut parent, e.u), find(&mut parent, e.v));
+        if a == b {
             continue;
         }
-        components += 1;
-        visited[start] = true;
-        frontier.clear();
-        frontier.push(start as u32);
-        while !frontier.is_empty() {
-            // Gather candidate next-level vertices (possibly with
-            // duplicates), in parallel for wide frontiers.
-            let next_candidates: Vec<u32> = if frontier.len() >= 1024 {
-                frontier
-                    .par_iter()
-                    .flat_map_iter(|&u| {
-                        inc.edges_at(u as usize).iter().map(move |&ei| edges[ei as usize].other(u))
-                    })
-                    .collect()
-            } else {
-                frontier
-                    .iter()
-                    .flat_map(|&u| {
-                        inc.edges_at(u as usize).iter().map(move |&ei| edges[ei as usize].other(u))
-                    })
-                    .collect()
-            };
-            frontier.clear();
-            for v in next_candidates {
-                if !visited[v as usize] {
-                    visited[v as usize] = true;
-                    frontier.push(v);
-                }
-            }
+        let (hi, lo) = if rank[a as usize] >= rank[b as usize] { (a, b) } else { (b, a) };
+        parent[lo as usize] = hi;
+        if rank[hi as usize] == rank[lo as usize] {
+            rank[hi as usize] += 1;
         }
+        components -= 1;
     }
     components
 }
@@ -111,7 +97,7 @@ mod tests {
     }
 
     #[test]
-    fn large_star_uses_parallel_frontier() {
+    fn large_star_is_one_component() {
         let n = 5000;
         let edges: Vec<Edge> = (1..n as u32).map(|i| Edge::new(0, i, 1.0)).collect();
         let g = MultiGraph::from_edges(n, edges);

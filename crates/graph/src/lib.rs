@@ -12,9 +12,10 @@
 //!   dense materializations, weighted degrees.
 //! * [`generators`] — graph families used by the paper's motivating
 //!   applications and by our experiments.
-//! * [`connectivity`] — BFS connectivity (the solver's precondition).
+//! * [`connectivity`] — union-find component count (the solver's
+//!   precondition, re-checked on every sampled Schur complement).
 //! * [`components`] — parallel connected components (FastSV hooking),
-//!   the PRAM-model counterpart of the BFS check.
+//!   the PRAM-model counterpart of the union-find check.
 //! * [`ordering`] — cache-aware node orderings (reverse
 //!   Cuthill–McKee), pure functions of the graph so reordered solvers
 //!   stay deterministic.

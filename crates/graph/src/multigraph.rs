@@ -1,7 +1,6 @@
-//! The weighted multigraph type and its parallel incidence structure.
+//! The weighted multigraph type and its incidence structure.
 
 use parlap_primitives::scan::exclusive_scan;
-use rayon::prelude::*;
 
 /// A weighted multi-edge between two distinct vertices.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -36,10 +35,10 @@ impl Edge {
 /// A connected weighted undirected multigraph on vertices `0..n`.
 ///
 /// Stored as a flat edge list; the CSR incidence structure
-/// ([`Incidence`]) is built on demand in parallel. Multiple parallel
-/// edges between the same endpoints are allowed and meaningful (they
-/// carry the α-boundedness structure of the paper); self-loops are
-/// rejected (they contribute nothing to a Laplacian).
+/// ([`Incidence`]) is built on demand by counting sort. Multiple
+/// parallel edges between the same endpoints are allowed and
+/// meaningful (they carry the α-boundedness structure of the paper);
+/// self-loops are rejected (they contribute nothing to a Laplacian).
 #[derive(Clone, Debug)]
 pub struct MultiGraph {
     n: usize,
@@ -135,25 +134,22 @@ impl MultiGraph {
     }
 
     /// Build the CSR incidence structure (each edge listed under both
-    /// endpoints). Parallel: stable sort of `2m` incidence records by
-    /// vertex, then a scan for offsets — the Lemma 2.7 conversion.
+    /// endpoints) by counting sort: count each vertex's multi-degree,
+    /// take an exclusive scan for the offsets, then scatter the edge
+    /// indices in edge order — the Lemma 2.7 conversion in `O(n + m)`
+    /// work. Within a vertex the edges appear in increasing index
+    /// order (what a stable sort of `(vertex, edge)` records gives),
+    /// so downstream sampling does not depend on the thread count.
     pub fn incidence(&self) -> Incidence {
-        let m = self.edges.len();
-        // Records (vertex, edge index). The stable sort keeps edge
-        // order within a vertex, so downstream sampling is
-        // deterministic regardless of thread count.
-        let mut records: Vec<(u32, u32)> = Vec::with_capacity(2 * m);
+        let offsets = exclusive_scan(&self.multi_degrees());
+        let mut next = offsets[..self.n].to_vec();
+        let mut inc_edges = vec![0u32; 2 * self.edges.len()];
         for (i, e) in self.edges.iter().enumerate() {
-            records.push((e.u, i as u32));
-            records.push((e.v, i as u32));
+            for x in [e.u as usize, e.v as usize] {
+                inc_edges[next[x]] = i as u32;
+                next[x] += 1;
+            }
         }
-        records.par_sort_by_key(|&(v, _)| v);
-        let mut counts = vec![0usize; self.n];
-        for &(v, _) in &records {
-            counts[v as usize] += 1;
-        }
-        let offsets = exclusive_scan(&counts);
-        let inc_edges: Vec<u32> = records.iter().map(|&(_, e)| e).collect();
         Incidence { offsets, inc_edges }
     }
 
@@ -476,7 +472,8 @@ mod tests {
 
     #[test]
     fn incidence_large_parallel_path() {
-        // Exceeds PAR_CUTOFF to exercise the parallel sort path.
+        // A long path: every interior vertex lists its two edges in
+        // index order.
         let n = 10_000usize;
         let edges: Vec<Edge> = (0..n as u32 - 1).map(|i| Edge::new(i, i + 1, 1.0)).collect();
         let g = MultiGraph::from_edges(n, edges);

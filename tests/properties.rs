@@ -170,20 +170,91 @@ proptest! {
         }
     }
 
-    /// Parallel FastSV components agree with sequential BFS on
-    /// arbitrary (possibly disconnected) graphs.
+    /// `num_components` (sequential union-find over the edge list)
+    /// agrees with the parallel FastSV count on arbitrary, possibly
+    /// disconnected graphs, n = 0 and 1 and edgeless ones included.
+    /// Up to 2n edges make both connected and disconnected draws
+    /// common.
     #[test]
-    fn parallel_components_agree_with_bfs(
-        n in 2usize..60,
-        edges in proptest::collection::vec((0u32..60, 0u32..60, 0.1f64..2.0), 0..80),
+    fn parallel_components_agree_with_union_find(
+        n in 0usize..40,
+        edges in proptest::collection::vec((0u32..1000, 0u32..1000, 0.1f64..2.0), 0..80),
     ) {
-        let edges: Vec<Edge> = edges
-            .into_iter()
-            .filter(|&(u, v, _)| (u as usize) < n && (v as usize) < n && u != v)
-            .map(|(u, v, w)| Edge::new(u, v, w))
-            .collect();
-        let g = MultiGraph::from_edges(n, edges);
+        let g = graph_from_pairs(n, edges);
         let cc = parlap_graph::components::parallel_components(&g);
         prop_assert_eq!(cc.count, parlap_graph::connectivity::num_components(&g));
+    }
+
+    /// The counting-sort incidence equals a stable sort of
+    /// `(vertex, edge)` records. Few vertices make parallel edges and
+    /// isolated vertices common.
+    #[test]
+    fn incidence_matches_stable_sort(
+        n in 1usize..12,
+        edges in proptest::collection::vec((0u32..1000, 0u32..1000, 0.1f64..2.0), 0..60),
+    ) {
+        let g = graph_from_pairs(n, edges);
+        prop_assert_eq!(incidence_lists(&g), reference_incidence(&g));
+    }
+}
+
+/// A multigraph on `n` vertices with an edge `(u mod n, v mod n)` for
+/// each `(u, v, w)` whose two endpoints differ mod `n`.
+fn graph_from_pairs(n: usize, edges: Vec<(u32, u32, f64)>) -> MultiGraph {
+    if n == 0 {
+        return MultiGraph::new(0);
+    }
+    let edges: Vec<Edge> = edges
+        .into_iter()
+        .map(|(u, v, w)| (u % n as u32, v % n as u32, w))
+        .filter(|&(u, v, _)| u != v)
+        .map(|(u, v, w)| Edge::new(u, v, w))
+        .collect();
+    MultiGraph::from_edges(n, edges)
+}
+
+/// `MultiGraph::incidence` as one edge list per vertex.
+fn incidence_lists(g: &MultiGraph) -> Vec<Vec<u32>> {
+    let inc = g.incidence();
+    assert_eq!(inc.num_vertices(), g.num_vertices());
+    (0..g.num_vertices()).map(|v| inc.edges_at(v).to_vec()).collect()
+}
+
+/// Reference incidence: `(vertex, edge)` records for both endpoints,
+/// stably sorted by vertex.
+fn reference_incidence(g: &MultiGraph) -> Vec<Vec<u32>> {
+    let mut records: Vec<(u32, u32)> = Vec::new();
+    for (i, e) in g.edges().iter().enumerate() {
+        records.push((e.u, i as u32));
+        records.push((e.v, i as u32));
+    }
+    records.sort_by_key(|&(v, _)| v);
+    let mut lists = vec![Vec::new(); g.num_vertices()];
+    for (v, e) in records {
+        lists[v as usize].push(e);
+    }
+    lists
+}
+
+/// The small cases a random strategy may miss: n ∈ {0, 1, 2}, no
+/// edges, parallel edges, isolated vertices, connected and not.
+#[test]
+fn incidence_and_components_on_small_cases() {
+    let pairs = |n: usize, es: &[(u32, u32)]| {
+        graph_from_pairs(n, es.iter().map(|&(u, v)| (u, v, 1.0)).collect())
+    };
+    let cases = [
+        (pairs(0, &[]), 0),
+        (pairs(1, &[]), 1),
+        (pairs(2, &[]), 2),
+        (pairs(2, &[(0, 1)]), 1),
+        (pairs(2, &[(1, 0), (0, 1), (1, 0)]), 1),
+        (pairs(5, &[(3, 1), (1, 3), (0, 4)]), 3),
+        (pairs(4, &[(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]), 1),
+    ];
+    for (g, components) in &cases {
+        assert_eq!(incidence_lists(g), reference_incidence(g), "{g:?}");
+        assert_eq!(parlap_graph::connectivity::num_components(g), *components, "{g:?}");
+        assert_eq!(parlap_graph::components::parallel_components(g).count, *components, "{g:?}");
     }
 }
